@@ -92,7 +92,7 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
-	m := bdd.NewWithSize(1<<16, 20)
+	m := bdd.New()
 	var p verify.Problem
 	switch {
 	case *file != "":
@@ -234,7 +234,7 @@ func main() {
 		}
 		fmt.Printf("wall %v, peak live nodes %d\n", time.Since(start).Round(time.Millisecond), m.PeakNodes())
 		if *stats {
-			printStats(res)
+			printStats(res, m.Stats())
 		}
 
 		if res.Trace != nil {

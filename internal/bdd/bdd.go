@@ -12,7 +12,8 @@
 //   - Hash-consed unique table: structurally identical functions share a
 //     single node, so pointer (Ref) equality is function equality and the
 //     "shared size" BDDSize(X_i, X_j) of Figure 1 is meaningful.
-//   - A computed cache memoizing (op, f, g, h) quadruples.
+//   - A computed cache memoizing (op, f, g, h) quadruples. It starts
+//     small and grows with the workload (see cache.go).
 //   - A configurable node limit: when the table would exceed it, the
 //     current operation unwinds with a *LimitError. This implements the
 //     resource-bounded behaviour behind the "Exceeded 60MB" rows of the
@@ -33,6 +34,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/bits"
 	"time"
 
 	"repro/internal/resource"
@@ -107,6 +109,15 @@ type Stats struct {
 	UniqueHits   uint64 // unique-table hits (node reuse)
 	GCs          int    // completed garbage collections
 	FreedNodes   int    // total nodes reclaimed by GC
+
+	// CacheEntries is the computed cache's current size: a power of two
+	// in [2^minCacheBits, 2^maxCacheBits] that never decreases.
+	CacheEntries int
+	// CacheResizes counts completed computed-cache growths (unique-table
+	// or miss-pressure trigger); each at least doubles CacheEntries, so
+	// CacheEntries >= initial size << CacheResizes. Always 0 on a shared
+	// Manager, whose cache is fixed.
+	CacheResizes int
 }
 
 // Manager owns a shared BDD node pool. All Refs are relative to the
@@ -156,14 +167,14 @@ type Manager struct {
 	xferCur uint32
 }
 
-// DefaultCacheBits is the log2 of the default computed-cache size.
-const DefaultCacheBits = 16
+// New creates an empty Manager. Its computed cache starts at 2^12
+// entries and grows with the workload (see cache.go).
+func New() *Manager { return NewWithSize(1024, initCacheBits) }
 
-// New creates an empty Manager with the default cache size.
-func New() *Manager { return NewWithSize(1024, DefaultCacheBits) }
-
-// NewWithSize creates a Manager with an initial node capacity and a
-// computed cache of 2^cacheBits entries.
+// NewWithSize creates a Manager with an initial node capacity and an
+// initial computed cache of 2^cacheBits entries (clamped to
+// [2^8, 2^23]). Both are hints: the cache then grows under the same
+// policy as New's.
 func NewWithSize(nodeCap int, cacheBits uint) *Manager {
 	if nodeCap < 16 {
 		nodeCap = 16
@@ -214,7 +225,10 @@ func (m *Manager) PeakNodes() int {
 func (m *Manager) Stats() Stats {
 	s := m.stats
 	s.Vars = len(m.varNames)
+	s.CacheEntries = len(m.cache.entries)
+	s.CacheResizes = m.cache.resizes
 	if sh := m.shared; sh != nil {
+		s.CacheEntries = len(sh.cache.entries)
 		s.Nodes = int(sh.nodeCount.Load())
 		s.PeakNodes = int(sh.peakNodes.Load())
 		s.CacheLookups = sh.lookups.Load()
@@ -479,14 +493,11 @@ func (m *Manager) alloc() int32 {
 	return int32(len(m.nodes) - 1)
 }
 
-// maxCacheBits caps adaptive computed-cache growth (2^23 entries ≈
-// 160MB): beyond this, hit rate gains no longer pay for the memory.
-const maxCacheBits = 23
-
 // growBuckets doubles the unique table and rehashes all live nodes. It
 // also grows the computed cache to keep pace with the node count — a
 // cache much smaller than the working set thrashes, and a thrashing
-// cache turns memoized recursions exponential.
+// cache turns memoized recursions exponential. The cache keeps its
+// entries across the resize.
 func (m *Manager) growBuckets() {
 	m.initBuckets(len(m.buckets) * 2)
 	for i := 1; i < len(m.nodes); i++ {
@@ -498,12 +509,8 @@ func (m *Manager) growBuckets() {
 		n.next = m.buckets[h]
 		m.buckets[h] = int32(i)
 	}
-	if len(m.cache.entries) < len(m.buckets) && len(m.cache.entries) < 1<<maxCacheBits {
-		bits := uint(1)
-		for 1<<bits < len(m.buckets) && bits < maxCacheBits {
-			bits++
-		}
-		m.cache.init(bits) // clearing the memo is safe, only slow
+	if len(m.cache.entries) < len(m.buckets) {
+		m.cache.resize(uint(bits.TrailingZeros(uint(len(m.buckets)))), m.stats.CacheLookups-m.stats.CacheHits)
 	}
 }
 

@@ -1,6 +1,10 @@
 package bdd
 
-import "time"
+import (
+	"math"
+	"math/bits"
+	"time"
+)
 
 // Operation tags for the computed cache. Each memoized operation gets a
 // distinct tag so results of different operations on the same operands
@@ -29,6 +33,33 @@ type cacheEntry struct {
 // cacheEntryBytes is the in-memory size of a cacheEntry, for MemEstimate.
 const cacheEntryBytes = 24
 
+// Computed-cache sizing. A Manager starts with a small cache and grows it
+// on either of two triggers, rehashing the live memo into the larger
+// array (resize):
+//
+//   - the unique table grew past the cache (growBuckets): a cache much
+//     smaller than the node working set thrashes;
+//   - miss pressure: more than cacheMissFactor × len(entries) lookups
+//     missed since the last resize.
+//
+// Growth never exceeds maxCacheBits; the cache never shrinks.
+const (
+	// initCacheBits is New's starting size: 2^12 entries, 96 KiB.
+	initCacheBits = 12
+
+	// minCacheBits floors a NewWithSize hint.
+	minCacheBits = 8
+
+	// maxCacheBits caps growth: 2^23 entries × cacheEntryBytes (24) =
+	// 192 MiB. Beyond this, hit-rate gains no longer pay for the memory.
+	maxCacheBits = 23
+
+	// cacheMissFactor is the miss-pressure trigger: the cache doubles
+	// once the misses since its last resize exceed this multiple of its
+	// size.
+	cacheMissFactor = 4
+)
+
 // computedCache is a direct-mapped cache: colliding entries overwrite each
 // other. This is the classical BDD-package design — correctness never
 // depends on a hit, only speed.
@@ -39,16 +70,56 @@ type computedCache struct {
 	// cur is the current epoch; entries stamped with an older epoch are
 	// stale. It starts at 1 so zeroed entries (epoch 0) are born invalid.
 	cur uint32
+
+	// growAt is the Manager's miss count (CacheLookups - CacheHits) at
+	// which miss pressure doubles the cache; math.MaxUint64 at the cap.
+	growAt uint64
+
+	resizes int // completed resizes, both triggers
 }
 
-func (c *computedCache) init(bits uint) {
-	if bits < 8 {
-		bits = 8
-	}
-	c.entries = make([]cacheEntry, 1<<bits)
+func (c *computedCache) init(logSize uint) {
+	logSize = min(max(logSize, minCacheBits), maxCacheBits)
+	c.entries = make([]cacheEntry, 1<<logSize)
 	c.mask = uint32(len(c.entries) - 1)
 	c.cur = 1
+	c.growAt = c.nextGrowth(0)
 }
+
+// nextGrowth returns the miss count at which the cache, holding its
+// current size after misses misses, next doubles for miss pressure.
+func (c *computedCache) nextGrowth(misses uint64) uint64 {
+	if len(c.entries) >= 1<<maxCacheBits {
+		return math.MaxUint64
+	}
+	return misses + cacheMissFactor*uint64(len(c.entries))
+}
+
+// resize grows the cache to 2^logSize entries (capped at maxCacheBits) and
+// rehashes every current-epoch entry into the new array; stale entries
+// are dropped. Growth only adds index bits, so entries from distinct old
+// slots land in distinct new slots and none is lost. misses is the
+// Manager's miss count, from which the next miss-pressure growth is
+// measured.
+func (c *computedCache) resize(logSize uint, misses uint64) {
+	logSize = min(logSize, maxCacheBits)
+	if 1<<logSize <= len(c.entries) {
+		return
+	}
+	old := c.entries
+	c.entries = make([]cacheEntry, 1<<logSize)
+	c.mask = uint32(len(c.entries) - 1)
+	for _, e := range old {
+		if e.epoch == c.cur {
+			c.entries[cacheHash(e.op, e.f, e.g, e.h)&c.mask] = e
+		}
+	}
+	c.resizes++
+	c.growAt = c.nextGrowth(misses)
+}
+
+// logSize returns log2 of the cache size.
+func (c *computedCache) logSize() uint { return uint(bits.TrailingZeros(uint(len(c.entries)))) }
 
 func (c *computedCache) memBytes() int {
 	return len(c.entries) * cacheEntryBytes
@@ -113,6 +184,9 @@ func (m *Manager) cacheLookup(op uint32, f, g, h Ref) (Ref, bool) {
 	if e.epoch == m.cache.cur && e.op == op && e.f == f && e.g == g && e.h == h {
 		m.stats.CacheHits++
 		return e.res, true
+	}
+	if misses := m.stats.CacheLookups - m.stats.CacheHits; misses >= m.cache.growAt {
+		m.cache.resize(m.cache.logSize()+1, misses)
 	}
 	return 0, false
 }

@@ -171,8 +171,8 @@ type sharedState struct {
 // computed cache of 2^cacheBits entries. Unlike sequential managers the
 // cache does not grow adaptively — swapping the entry array under
 // concurrent readers is not worth the machinery — so size it for the
-// workload up front (DefaultCacheBits is a sensible floor; verification
-// runs want 20+).
+// workload up front (16 is a sensible floor; verification runs want
+// 20+).
 //
 // Concurrency contract: all operations (ITE/And/Or/.../Exists/AndExists,
 // the Par* variants, Size/SharedSize/Support, Transfer FROM the manager)

@@ -64,7 +64,7 @@ func SiftOrder(src *Manager, roots []Ref, maxRounds int) ([]Var, int) {
 // as a varMap (varMap[v] = position of source variable v). Exposed for
 // hand-rolled order experiments.
 func EvalOrder(src *Manager, roots []Ref, varMap []Var) int {
-	scratch := NewWithSize(1024, 14)
+	scratch := New()
 	scratch.NewVars("o", src.NumVars())
 	out := TransferAll(scratch, src, roots, varMap)
 	return scratch.SharedSize(out...)

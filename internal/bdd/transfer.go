@@ -65,7 +65,7 @@ func Transfer(dst, src *Manager, f Ref, varMap []Var) Ref {
 // aborting. The inherited deadline keeps a runaway operation on a worker
 // abortable exactly like one on the source Manager.
 func (m *Manager) NewWorker() *Manager {
-	w := NewWithSize(1024, DefaultCacheBits)
+	w := New()
 	w.varNames = append([]string(nil), m.varNames...)
 	w.nodeLimit = m.nodeLimit
 	w.deadline = m.deadline

@@ -79,7 +79,7 @@ func RunCell(ctx context.Context, c Cell, budget Budget) CellResult {
 	if c.Opt.SharedManager {
 		m = bdd.NewShared(c.Opt.Workers, 20)
 	} else {
-		m = bdd.NewWithSize(1<<16, 20)
+		m = bdd.New()
 	}
 	p := c.Build(m)
 	opt := c.Opt

@@ -147,7 +147,7 @@ func runSpeedupConfig(ctx context.Context, c SpeedupCell, opt verify.Options, bu
 	if opt.SharedManager {
 		m = bdd.NewShared(opt.Workers, 20)
 	} else {
-		m = bdd.NewWithSize(1<<16, 20)
+		m = bdd.New()
 	}
 	p := c.Build(m)
 	opt.Budget = budget.Norm()

@@ -167,7 +167,7 @@ func (s *Server) runAttempt(j *job, meth verify.Method, budget resource.Budget) 
 		}
 	}
 
-	m := bdd.NewWithSize(1<<16, 20)
+	m := bdd.New()
 	p, err := buildProblem(m, &j.req)
 	if err != nil {
 		s.failJob(j, err.Error())
