@@ -65,3 +65,63 @@ func TestCacheRoundTrip(t *testing.T) {
 		t.Fatal("op tag ignored in lookup")
 	}
 }
+
+// TestCacheEpochClear: clear is an epoch bump that invalidates hits,
+// and the uint32 wraparound falls back to a sweep rather than
+// resurrecting entries stamped 2^32 clears ago.
+func TestCacheEpochClear(t *testing.T) {
+	var c computedCache
+	c.init(8)
+	c.entries[5] = cacheEntry{op: opITE, f: 2, g: 4, h: 6, res: 8, epoch: c.cur}
+	c.clear()
+	if e := &c.entries[5]; e.epoch == c.cur {
+		t.Fatal("entry survived clear")
+	}
+
+	// Wraparound: an ancient entry stamped with what will become the
+	// current epoch again must be swept away.
+	c.cur = ^uint32(0) - 1
+	c.entries[7] = cacheEntry{op: opITE, f: 1, g: 3, h: 5, res: 7, epoch: 1}
+	c.clear() // cur -> MaxUint32
+	c.clear() // wraps -> sweep -> cur 1
+	if c.cur != 1 {
+		t.Fatalf("post-wrap epoch %d, want 1", c.cur)
+	}
+	if e := &c.entries[7]; e.epoch == c.cur || e.op != opNone {
+		t.Fatal("ancient entry resurrected by epoch wraparound")
+	}
+}
+
+// TestSequentialCacheStillHits guards the epoch refactor against the
+// trivial regression: stores made before any clear must still hit.
+func TestSequentialCacheStillHits(t *testing.T) {
+	m, vars := fuzzManager()
+	f, _ := fuzzFormula(m, vars, samplePrograms[0])
+	g, _ := fuzzFormula(m, vars, samplePrograms[1])
+	m.And(f, g)
+	before := m.Stats().CacheHits
+	m.And(f, g)
+	if m.Stats().CacheHits == before {
+		t.Fatal("no cache hit on repeated And: epoch tagging broke stores")
+	}
+}
+
+// BenchmarkCacheClear: epoch-bump clear versus the old full sweep, at
+// the adaptive cache's maximum size.
+func BenchmarkCacheClear(b *testing.B) {
+	var c computedCache
+	c.init(maxCacheBits)
+	b.Run("epoch", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			c.clear()
+			if c.cur == 0 {
+				b.Fatal("unreachable")
+			}
+		}
+	})
+	b.Run("sweep", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			c.sweep()
+		}
+	})
+}

@@ -3,111 +3,8 @@ package bdd
 import (
 	"math/rand"
 	"testing"
-	"testing/quick"
 	"time"
 )
-
-// --- RestrictMulti (Section V: simplify by multiple care sets) ---------
-
-// TestRestrictMultiAgreement: wherever ALL care sets hold, the result
-// equals f — the defining property.
-func TestRestrictMultiAgreement(t *testing.T) {
-	const n = 5
-	m := newTestManager(t, n)
-	mask := tableMask(n)
-	prop := func(tf, tc1, tc2, tc3 uint64) bool {
-		tf &= mask
-		cares := []uint64{tc1 & mask, tc2 & mask, tc3 & mask}
-		f := truthToBDD(m, n, tf)
-		cs := make([]Ref, len(cares))
-		careAll := mask
-		for i, tc := range cares {
-			cs[i] = truthToBDD(m, n, tc)
-			careAll &= tc
-		}
-		r := m.RestrictMulti(f, cs)
-		rt := bddToTruth(m, r, n)
-		return (rt^tf)&careAll == 0
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 400}); err != nil {
-		t.Fatal(err)
-	}
-	checkInv(t, m)
-}
-
-func TestRestrictMultiEdgeCases(t *testing.T) {
-	m := newTestManager(t, 4)
-	x, y := m.VarRef(0), m.VarRef(1)
-	f := m.Or(m.And(x, y), m.And(x.Not(), y.Not()))
-
-	if m.RestrictMulti(f, nil) != f {
-		t.Fatal("empty family changed f")
-	}
-	if m.RestrictMulti(f, []Ref{One, One}) != f {
-		t.Fatal("all-One family changed f")
-	}
-	if m.RestrictMulti(f, []Ref{x, Zero}) != f {
-		t.Fatal("family containing Zero should return f (empty care set)")
-	}
-	if m.RestrictMulti(One, []Ref{x}) != One || m.RestrictMulti(Zero, []Ref{x}) != Zero {
-		t.Fatal("constants changed")
-	}
-	// Single care set: semantics must match plain Restrict's contract
-	// (agreement on the care set), though the chosen don't-care values
-	// may differ.
-	r1 := m.RestrictMulti(f, []Ref{x})
-	if m.And(m.Xor(r1, f), x) != Zero {
-		t.Fatal("single-care RestrictMulti disagrees on the care set")
-	}
-}
-
-// TestRestrictMultiBeatsSequential reproduces the Section V scenario:
-// two care sets that individually blow f up but jointly collapse it.
-func TestRestrictMultiBeatsSequential(t *testing.T) {
-	m := newTestManager(t, 6)
-	x0, x1, x2, x3, x4 := m.VarRef(0), m.VarRef(1), m.VarRef(2), m.VarRef(3), m.VarRef(4)
-
-	// x4's coefficient vanishes only under BOTH care sets: c1 forces
-	// x0==x1 and c2 forces x2==x3, so (x0⊕x1) ∨ (x2⊕x3) becomes 0 and f
-	// collapses to x0⊕x2. Simplifying by either care set alone cannot
-	// eliminate x4.
-	coef := m.Or(m.Xor(x0, x1), m.Xor(x2, x3))
-	f := m.Xor(m.Xor(x0, x2), m.And(coef, x4))
-	c1 := m.Xnor(x0, x1)
-	c2 := m.Xnor(x2, x3)
-
-	joint := m.RestrictMulti(f, []Ref{c1, c2})
-	explicit := m.Restrict(f, m.And(c1, c2))
-
-	// Agreement with f on c1 ∧ c2, like the explicit-conjunction route.
-	care := m.And(c1, c2)
-	if m.And(m.Xor(joint, f), care) != Zero {
-		t.Fatal("joint simplification disagrees on the joint care set")
-	}
-	// The simplification quality matches having built the conjunction:
-	// x4 drops out and the result is the 3-node x0⊕x2.
-	if joint != explicit {
-		t.Fatalf("joint %s differs from explicit-conjunction restrict %s",
-			m.String(joint), m.String(explicit))
-	}
-	for _, v := range m.Support(joint) {
-		if v == 4 {
-			t.Fatalf("joint care sets did not eliminate x4 (support %v)", m.Support(joint))
-		}
-	}
-	// Simplifying by either care set alone keeps x4, demonstrating why
-	// Section V wants the simultaneous routine.
-	only1 := m.RestrictMulti(f, []Ref{c1})
-	hasX4 := false
-	for _, v := range m.Support(only1) {
-		if v == 4 {
-			hasX4 = true
-		}
-	}
-	if !hasX4 {
-		t.Fatal("single care set unexpectedly eliminated x4; scenario lost its point")
-	}
-}
 
 // --- Bounded operations (Section V: abort on size) ----------------------
 

@@ -102,40 +102,6 @@ func fuzzManager() (*Manager, []Var) {
 	return m, m.NewVars("x", fuzzVars)
 }
 
-// fuzzSharedManager builds a shared-memory concurrent manager for the
-// cross-check replays. Sized for 4 workers with a deliberately small
-// cache and a shallow fork cutoff so fuzzing exercises forked recursion
-// steps, cache collisions, and shard growth rather than hiding them.
-func fuzzSharedManager() (*Manager, []Var) {
-	m := NewShared(4, 10)
-	m.SetForkDepth(3)
-	return m, m.NewVars("x", fuzzVars)
-}
-
-// fuzzSharedCheck replays two formula programs on a concurrent manager
-// and cross-checks op there: the sequential recursion and the parallel
-// fork/join recursion must land on the identical Ref (canonicity inside
-// one manager), and the result's truth table must equal want — the table
-// the sequential-manager oracle computed. Run under -race this drives
-// the sharded table, striped cache, and Forker from real goroutines.
-func fuzzSharedCheck(t *testing.T, a, b []byte, want uint32,
-	op func(m *Manager, fa, fb Ref) (seq, par Ref)) {
-	t.Helper()
-	sm, svars := fuzzSharedManager()
-	fa, _ := fuzzFormula(sm, svars, a)
-	fb, _ := fuzzFormula(sm, svars, b)
-	seq, par := op(sm, fa, fb)
-	if seq != par {
-		t.Fatalf("concurrent manager: parallel op Ref %v != sequential op Ref %v", par, seq)
-	}
-	if got := fuzzEvalTable(sm, seq); got != want {
-		t.Fatalf("concurrent manager table %08x, want %08x", got, want)
-	}
-	if err := sm.CheckInvariants(); err != nil {
-		t.Fatalf("concurrent manager: %v", err)
-	}
-}
-
 // splitCorpus seeds shared by all targets: empty, single pushes, and a
 // few operator mixes.
 func fuzzSeeds(f *testing.F) {
@@ -161,9 +127,6 @@ func FuzzAnd(f *testing.F) {
 		if err := m.CheckInvariants(); err != nil {
 			t.Fatal(err)
 		}
-		fuzzSharedCheck(t, a, b, ta&tb, func(sm *Manager, fa, fb Ref) (Ref, Ref) {
-			return sm.And(fa, fb), sm.ParAnd(fa, fb)
-		})
 	})
 }
 
@@ -181,9 +144,6 @@ func FuzzOr(f *testing.F) {
 		if dm := m.And(fa.Not(), fb.Not()).Not(); dm != r {
 			t.Fatalf("De Morgan violated: %v != %v", dm, r)
 		}
-		fuzzSharedCheck(t, a, b, ta|tb, func(sm *Manager, fa, fb Ref) (Ref, Ref) {
-			return sm.Or(fa, fb), sm.ParOr(fa, fb)
-		})
 	})
 }
 
@@ -200,26 +160,6 @@ func FuzzRestrict(f *testing.F) {
 			if got := fuzzEvalTable(m, r); (got^tf)&tc != 0 {
 				t.Fatalf("%v disagrees with f on the care set: f=%08x r=%08x c=%08x", s, tf, got, tc)
 			}
-		}
-
-		// Replay on a concurrent manager: Restrict has no parallel
-		// variant, so the cross-check is determinism (two identical
-		// calls, one cache-cold and one cache-warm, on the same manager)
-		// plus the care-set contract against the oracle tables.
-		sm, svars := fuzzSharedManager()
-		sf, _ := fuzzFormula(sm, svars, a)
-		sc, _ := fuzzFormula(sm, svars, b)
-		for _, s := range []Simplifier{UseRestrict, UseConstrain} {
-			r1 := sm.Simplify(s, sf, sc)
-			if r2 := sm.Simplify(s, sf, sc); r2 != r1 {
-				t.Fatalf("concurrent manager: %v not deterministic: %v != %v", s, r2, r1)
-			}
-			if got := fuzzEvalTable(sm, r1); (got^tf)&tc != 0 {
-				t.Fatalf("concurrent manager: %v disagrees on care set: f=%08x r=%08x c=%08x", s, tf, got, tc)
-			}
-		}
-		if err := sm.CheckInvariants(); err != nil {
-			t.Fatalf("concurrent manager: %v", err)
 		}
 	})
 }
@@ -262,7 +202,7 @@ func FuzzCofactorVar(f *testing.F) {
 	})
 }
 
-// FuzzTransfer: shipping a BDD to a fresh worker manager preserves the
+// FuzzTransfer: shipping a BDD to a fresh manager preserves the
 // function, and shipping it back lands on the identical Ref.
 func FuzzTransfer(f *testing.F) {
 	fuzzSeeds(f)
@@ -272,7 +212,7 @@ func FuzzTransfer(f *testing.F) {
 		fg, _ := fuzzFormula(m, vars, b)
 		_ = fg // populate m beyond ff so Transfer walks a non-trivial table
 
-		w := m.NewWorker()
+		w := mirrorVars(m)
 		wf := Transfer(w, m, ff, nil)
 		if got := fuzzEvalTable(w, wf); got != tf {
 			t.Fatalf("transferred table %08x, want %08x", got, tf)

@@ -87,3 +87,26 @@ func randTables(rng *rand.Rand, n, count int) []uint64 {
 	}
 	return out
 }
+
+// Deterministic byte programs (see fuzzFormula) used to populate
+// managers with moderately interesting functions.
+var samplePrograms = [][]byte{
+	{0, 8, 3, 16, 4},
+	{0, 8, 4, 16, 5, 24, 3},
+	{7, 15, 3, 0, 6, 32, 4},
+	{1, 9, 17, 4, 4, 25, 5},
+	{2, 10, 5, 18, 3, 26, 4, 34, 5},
+	{0, 16, 5, 8, 6, 3},
+	{33, 25, 4, 17, 3, 9, 5},
+	{4, 12, 20, 3, 3, 28, 4},
+}
+
+// mirrorVars returns a fresh Manager declaring m's current variables
+// (same names, same order), the usual destination of a Transfer.
+func mirrorVars(m *Manager) *Manager {
+	w := New()
+	for v := 0; v < m.NumVars(); v++ {
+		w.NewVar(m.VarName(Var(v)))
+	}
+	return w
+}

@@ -12,18 +12,17 @@ import "fmt"
 // The per-call memo is a slice indexed by source node index with a
 // generation stamp, owned by the destination manager: successive
 // Transfers into the same destination reuse the arrays and invalidate
-// them by bumping the generation, so the map allocation and hashing that
-// used to dominate small transfers is gone entirely (BenchmarkTransfer
-// measures the difference against the old map memo). The scratch lives
-// on the DESTINATION because that side is always goroutine-private —
-// the parallel scoring layer transfers concurrently from one shared
-// source into many per-worker destinations.
+// them by bumping the generation, so a small transfer pays no map
+// allocation or hashing (BenchmarkTransfer measures the difference
+// against a map memo). The memo lives on the destination because that
+// is the manager the copy writes to; the source is only read.
 
 // VarMismatchError is the panic value raised (and converted to an error
 // by Guard) when a Transfer reaches a variable in the source function's
 // support that the destination manager has not declared. The typical way
-// to get here: create a worker with NewWorker, then AddVar/NewVar on the
-// parent — the worker's variable snapshot has silently diverged.
+// to get here: declare the destination's variables from the source's,
+// then NewVar on the source — the destination's snapshot has silently
+// diverged.
 type VarMismatchError struct {
 	Var     Var // destination variable the copy needed
 	DstVars int // variables declared in the destination
@@ -31,7 +30,7 @@ type VarMismatchError struct {
 }
 
 func (e *VarMismatchError) Error() string {
-	return fmt.Sprintf("bdd: Transfer needs destination variable %d but only %d are declared (source declares %d): worker created before the source's variables were complete?",
+	return fmt.Sprintf("bdd: Transfer needs destination variable %d but only %d are declared (source declares %d): destination created before the source's variables were complete?",
 		int(e.Var), e.DstVars, e.SrcVars)
 }
 
@@ -45,45 +44,6 @@ func Transfer(dst, src *Manager, f Ref, varMap []Var) Ref {
 	return t.copy(f)
 }
 
-// NewWorker returns a fresh, empty Manager declaring the same variables
-// (same names, same order) as m and inheriting its node limit and
-// deadline. Sequential managers are not safe for concurrent use, so the
-// per-worker-manager evaluation layer (internal/par + core.Options.
-// Workers) gives each worker goroutine its own Manager created here and
-// ships live functions across with Transfer/TransferAll. Because the
-// variable order is identical and BDDs are canonical, sizes and shared
-// sizes measured on a worker agree exactly with the source Manager's.
-//
-// The snapshot is taken at call time: variables declared on m afterwards
-// do not exist in the worker, and a Transfer whose support reaches one
-// fails with *VarMismatchError rather than silently building a wrong
-// function. Create workers only after the source's variables are final
-// (or re-create them after declaring more).
-//
-// The inherited node limit bounds each worker independently; a parallel
-// run may therefore hold up to workers× the sequential node count before
-// aborting. The inherited deadline keeps a runaway operation on a worker
-// abortable exactly like one on the source Manager.
-func (m *Manager) NewWorker() *Manager {
-	w := New()
-	w.varNames = append([]string(nil), m.varNames...)
-	w.nodeLimit = m.nodeLimit
-	w.deadline = m.deadline
-	w.ctx = m.ctx
-	return w
-}
-
-// TransferAll copies several roots, sharing the rebuild memo so common
-// subgraphs transfer once.
-func TransferAll(dst, src *Manager, fs []Ref, varMap []Var) []Ref {
-	t := newTransferCtx(dst, src, varMap)
-	out := make([]Ref, len(fs))
-	for i, f := range fs {
-		out[i] = t.copy(f)
-	}
-	return out
-}
-
 type transferCtx struct {
 	dst, src *Manager
 	varMap   []Var
@@ -93,11 +53,11 @@ type transferCtx struct {
 }
 
 // newTransferCtx prepares the destination-owned memo scratch for one
-// Transfer/TransferAll call: size it to the source's index bound, then
+// Transfer call: size it to the source's node count, then
 // invalidate prior contents with a generation bump (sweeping only on
 // uint32 wraparound, as the computed cache does for its epochs).
 func newTransferCtx(dst, src *Manager, varMap []Var) *transferCtx {
-	bound := src.indexBound()
+	bound := len(src.nodes)
 	if len(dst.xferVal) < bound {
 		dst.xferVal = make([]Ref, bound)
 		dst.xferGen = make([]uint32, bound)

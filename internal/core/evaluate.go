@@ -48,9 +48,7 @@ type Options struct {
 	PairBudgetFactor float64
 
 	// Stats, when non-nil, accumulates the greedy evaluation's effort
-	// counters (see EvalStats). The same determinism contract as for the
-	// output applies: with PairBudgetFactor == 0 the counters are
-	// identical whatever Workers is set to. The counters are per run:
+	// counters (see EvalStats). The counters are per run:
 	// the sink is never reset here, so a sink reused across independent
 	// evaluations must be zeroed between them (verify.RunContext does
 	// this for its engines).
@@ -61,29 +59,6 @@ type Options struct {
 	// (j is dropped into i). It is the public form of the package's
 	// white-box test hooks, used by the verify layer's Observer.
 	OnMerge func(i, j int)
-
-	// Workers selects parallel pair scoring for the greedy evaluation
-	// (0 = sequential, the default; negative = GOMAXPROCS). Because a
-	// bdd.Manager is not safe for concurrent use, each worker gets its
-	// own Manager: live conjuncts ship across with bdd.TransferAll, the
-	// candidate conjunctions P_ij are built and sized concurrently, and
-	// only the winning merge of each round transfers back. BDD
-	// canonicity makes worker-side sizes identical to main-manager
-	// sizes, so with PairBudgetFactor == 0 the parallel result is
-	// bit-identical (pointwise-equal Refs) to the sequential one; see
-	// the determinism note on EvaluateGreedy.
-	Workers int
-
-	// SharedManager selects the zero-hand-off parallel scoring path:
-	// workers score and merge pairs directly against the list's own
-	// Manager, with no per-worker mirrors and no bdd.Transfer (see
-	// greedy_shared.go). It takes effect only when Workers != 0, the
-	// list's Manager is in shared-memory concurrent mode (bdd.NewShared),
-	// and PairBudgetFactor is 0 (bdd.AndBounded mutates the manager-wide
-	// node limit and so cannot run concurrently); otherwise evaluation
-	// falls back to the per-worker-manager path, which remains fully
-	// supported — the differential fuzzer cross-checks the two.
-	SharedManager bool
 }
 
 func (o Options) threshold() float64 {
@@ -176,35 +151,21 @@ func CrossSimplifyPositional(m *bdd.Manager, cs []bdd.Ref, simp bdd.Simplifier) 
 // rescanning the full O(n²) table. Candidate selection breaks ties on
 // the smallest (i, j), which makes the result deterministic and equal to
 // the historical full-rescan loop (kept as evaluateGreedyRescan for
-// crosschecks and benchmarks). With opt.Workers != 0 the pair scoring
-// runs on a worker pool of per-worker Managers; the output is
-// bit-identical to the sequential run except that a positive
-// PairBudgetFactor may classify borderline pairs differently (the
-// allocation-counting bound observes each worker's fresh Manager, not
-// the accumulated main one) — semantics are preserved either way.
+// crosschecks and benchmarks).
 func EvaluateGreedy(l List, opt Options) List {
 	m := l.M
 	cs := append([]bdd.Ref(nil), l.Conjuncts...)
 	if len(cs) < 2 {
 		return NewList(m, cs...)
 	}
-	var sc pairScorer
-	switch {
-	case opt.Workers != 0 && opt.SharedManager && m.IsShared() && opt.PairBudgetFactor == 0:
-		sc = newSharedScorer(m, cs, opt)
-	case opt.Workers != 0:
-		sc = newParScorer(m, cs, opt)
-	default:
-		sc = newSeqScorer(m, cs, opt)
-	}
-	return greedyMerge(m, cs, opt, sc)
+	return greedyMerge(m, cs, opt)
 }
 
 // evaluateGreedyRescan is the original (seed) implementation of Figure 1:
 // a full O(n²) rescan of the pair table per merge, with an O(|table|)
 // map walk to invalidate stale rows. It is retained verbatim as the
 // reference implementation — tests assert that the incremental heap path
-// and the parallel path reproduce its output Ref-for-Ref, and
+// reproduces its output Ref-for-Ref, and
 // BenchmarkEvaluatePolicy measures both against it.
 func evaluateGreedyRescan(l List, opt Options) List {
 	m := l.M

@@ -68,36 +68,12 @@ func TestCorpus(t *testing.T) {
 					t.Errorf("Forward trace does not replay: %v", err)
 				}
 			}
-
-			// Replay the same seed on the shared-memory concurrent
-			// manager: every engine's verdict (outcome, depth, cause,
-			// trace shape) must be identical to the sequential run's —
-			// the acceptance contract of the concurrent mode.
-			sp := sf.Params
-			sp.Shared = true
-			sinst, err := Generate(sp)
-			if err != nil {
-				t.Fatal(err)
-			}
-			srep := RunInstance(sinst, Config{})
-			if srep.Divergent() {
-				t.Fatalf("seed diverges on the concurrent manager:\n%s", srep.NDJSON())
-			}
-			if len(srep.Verdicts) != len(rep.Verdicts) {
-				t.Fatalf("verdict count %d != sequential %d", len(srep.Verdicts), len(rep.Verdicts))
-			}
-			for i, v := range rep.Verdicts {
-				if srep.Verdicts[i] != v {
-					t.Errorf("concurrent-manager verdict differs: %+v != %+v", srep.Verdicts[i], v)
-				}
-			}
 		})
 	}
 }
 
 // TestCorpusPDR replays the full corpus through the PDR engine family
-// alone (with Forward as the agreed reference), on both the sequential
-// and the shared-memory concurrent manager. TestCorpus already runs PDR
+// alone (with Forward as the agreed reference). TestCorpus already runs PDR
 // inside the full grid; this focused replay is the one the race-mode CI
 // shard runs, so PDR's obligation machinery gets exercised under the
 // race detector without paying for the whole engine grid.
@@ -120,17 +96,13 @@ func TestCorpusPDR(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, shared := range []bool{false, true} {
-				p := sf.Params
-				p.Shared = shared
-				inst, err := Generate(p)
-				if err != nil {
-					t.Fatal(err)
-				}
-				rep := RunInstance(inst, Config{Engines: specs})
-				if rep.Divergent() {
-					t.Fatalf("shared=%v: PDR diverges:\n%s", shared, rep.NDJSON())
-				}
+			inst, err := Generate(sf.Params)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep := RunInstance(inst, Config{Engines: specs})
+			if rep.Divergent() {
+				t.Fatalf("PDR diverges:\n%s", rep.NDJSON())
 			}
 		})
 	}

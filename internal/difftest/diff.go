@@ -47,7 +47,7 @@ type EngineSpec struct {
 
 // DefaultEngines returns every built-in engine (including PDR and its
 // frame-policy ablation) plus the XICI ablation grid: each Section V
-// knob (simplifier, SkipStep3, VarChoice, Workers, PairBudgetFactor,
+// knob (simplifier, SkipStep3, VarChoice, PairBudgetFactor,
 // termination mode, GC cadence) exercised against the default
 // configuration.
 func DefaultEngines() []EngineSpec {
@@ -73,10 +73,6 @@ func DefaultEngines() []EngineSpec {
 			Tune: func(o *verify.Options) { o.TermSkipStep3 = true }},
 		{Name: "XICI/mostcommontop", Method: verify.XICI,
 			Tune: func(o *verify.Options) { o.TermVarChoice = core.VarMostCommonTop }},
-		{Name: "XICI/workers2", Method: verify.XICI,
-			Tune: func(o *verify.Options) { o.Workers = 2 }},
-		{Name: "XICI/sharedscore", Method: verify.XICI,
-			Tune: func(o *verify.Options) { o.Workers = 2; o.SharedManager = true }},
 		{Name: "XICI/pairbudget", Method: verify.XICI,
 			Tune: func(o *verify.Options) { o.Core.PairBudgetFactor = 4 }},
 		{Name: "XICI/implication", Method: verify.XICI,

@@ -84,11 +84,6 @@ func shrinkStep(p Params) []Params {
 		q.Assist = false
 		try(q)
 	}
-	if p.Shared {
-		q := p
-		q.Shared = false
-		try(q)
-	}
 	return out
 }
 

@@ -8,6 +8,12 @@
 // A Word is little-endian: Bits[0] is the least significant bit. All
 // binary operations require equal widths — widening is explicit via
 // Extend, which keeps width bookkeeping visible in model code.
+//
+// No production path imports this package: every model is built
+// through internal/ir, whose Word mirrors these operations. It stays as
+// the independent reference that the pre-IR constructors in
+// internal/models/legacy_test.go are written in, so the crosscheck
+// suite can require the IR builds to be Ref-identical to them.
 package expr
 
 import (

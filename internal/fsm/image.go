@@ -12,20 +12,13 @@ import (
 
 // Image returns the set of states reachable in one transition from a
 // state in z: Image(τ, Z) = {v | ∃u. u ∈ Z ∧ τ(u, v)}.
-//
-// The relational products go through the Par* entry points: on a
-// shared-memory concurrent Manager each conjunction-and-quantification
-// runs fork/join parallel, and by canonicity returns the exact Ref the
-// sequential operation would, so iterates — and hence iteration counts
-// and verdicts — are identical either way. On a sequential Manager the
-// Par* forms are the sequential operations.
 func (ma *Machine) Image(z bdd.Ref) bdd.Ref {
 	ma.mustBeSealed()
 	m := ma.M
-	acc := m.ParAnd(z, ma.constraint)
+	acc := m.And(z, ma.constraint)
 	acc = m.Exists(acc, ma.seedQuant)
 	for _, p := range ma.transition {
-		acc = m.ParAndExists(acc, p.rel, p.quant)
+		acc = m.AndExists(acc, p.rel, p.quant)
 		if acc == bdd.Zero {
 			return bdd.Zero
 		}
@@ -45,7 +38,7 @@ func (ma *Machine) PreImage(z bdd.Ref) bdd.Ref {
 	}
 	m := ma.M
 	composed := ma.sub.Compose(z)
-	return m.ParAndExists(ma.constraint, composed, ma.inputCube)
+	return m.AndExists(ma.constraint, composed, ma.inputCube)
 }
 
 // BackImage returns the set of states all of whose successors lie in z:

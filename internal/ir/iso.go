@@ -20,8 +20,7 @@ import (
 // stamps out each member with bdd.Transfer under the member's variable
 // map. Because Transfer rebuilds by ITE on the destination, the
 // transferred Ref is bit-identical to what direct evaluation would
-// produce — the pass changes construction effort, never results, and
-// behaves identically on per-worker and shared managers.
+// produce — the pass changes construction effort, never results.
 
 // isoMinNodes is the smallest DAG worth templating: below this the
 // direct evaluation is cheaper than a scratch manager plus a Transfer.

@@ -1,14 +1,13 @@
-// Package par provides the worker-pool primitive behind the repo's
-// parallel execution layer: parallel pair scoring in the core evaluation
-// policy (internal/core) and the concurrent bench grid (internal/bench).
+// Package par provides the worker-pool primitives behind the repo's
+// parallelism, which is always across independent runs, never inside
+// one: the concurrent bench grid (internal/bench, one cell per task)
+// and the icid job scheduler (internal/server, one job per task).
 //
 // The design constraint comes from the BDD substrate: a bdd.Manager is
-// not safe for concurrent use, so parallelism in this codebase is always
-// "one Manager per worker" with explicit hand-off (bdd.Transfer) at the
-// boundaries. The pool therefore exposes a stable worker identity to
-// every task: tasks that share a worker id never run concurrently, which
-// lets callers attach per-worker state (a Manager, a scratch buffer)
-// without any locking.
+// not safe for concurrent use, so every task builds its own Manager.
+// The pool exposes a stable worker identity to every task: tasks that
+// share a worker id never run concurrently, which lets callers attach
+// per-worker state (a Manager, a scratch buffer) without any locking.
 package par
 
 import (
@@ -50,8 +49,7 @@ func Serve[T any](n int, tasks <-chan T, fn func(worker int, task T)) {
 
 // Pool is a fixed-width worker pool. A Pool holds no goroutines between
 // calls: each ForEach spins up its workers, drains the tasks, and joins,
-// so an idle Pool costs nothing. That matters because pools are created
-// per evaluation call, sized to the caller's Workers option.
+// so an idle Pool costs nothing.
 type Pool struct {
 	workers int
 }

@@ -278,9 +278,6 @@ func mergeOptions(member, batch OptionsSpec) OptionsSpec {
 	if member.Termination == "" {
 		member.Termination = batch.Termination
 	}
-	if member.Workers == 0 {
-		member.Workers = batch.Workers
-	}
 	if member.GrowThreshold == 0 {
 		member.GrowThreshold = batch.GrowThreshold
 	}
@@ -396,16 +393,14 @@ func (s *Server) handleBatchSubmit(w http.ResponseWriter, r *http.Request) {
 
 	// Normalize every member up front: validation errors reject the
 	// batch before routing, and the canonical identities feed both the
-	// batch routing key and the members' cache keys (normalizeModel is
-	// not idempotent, so the job-building loop below must not re-run it).
+	// batch routing key and the members' cache keys.
 	identities := make([]string, len(reqs))
 	for i := range reqs {
-		identity, err := normalizeModel(&reqs[i])
+		reqs[i], identities[i], err = normalizeModel(reqs[i])
 		if err != nil {
 			writeError(w, http.StatusBadRequest, "jobs[%d]: %v", i, err)
 			return
 		}
-		identities[i] = identity
 	}
 	// A batch routes as one unit, keyed on all member identities — its
 	// members share one resource pool, which cannot split across nodes.

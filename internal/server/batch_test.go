@@ -366,7 +366,7 @@ func TestBatchValidation(t *testing.T) {
 		{"grid-and-builtin", `{"jobs":[{"grid":"fifo","builtin":"fifo"}]}`},
 		{"unknown-grid", `{"jobs":[{"grid":"turbofifo"}]}`},
 		{"bad-member-model", `{"jobs":[{"builtin":"fifo"},{"model":"(state x"}]}`},
-		{"bad-member-options", `{"jobs":[{"builtin":"fifo","options":{"workers":-2}}]}`},
+		{"bad-member-options", `{"jobs":[{"builtin":"fifo","options":{"gc_every":-1}}]}`},
 		{"unknown-field", `{"frobnicate":1,"jobs":[{"builtin":"fifo"}]}`},
 	}
 	for _, c := range cases {

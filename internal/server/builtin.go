@@ -81,48 +81,50 @@ func builtinSize(req *SubmitRequest) (zoo.Size, error) {
 	return size, nil
 }
 
-// normalizeModel validates the request's model selection, fills
-// defaults in place, and returns the canonical model identity string
-// the result cache hashes. Both frontends converge on the same
-// identity: textual source is canonicalized with lang.Canon; a builtin
-// is built from the zoo registry and serialized to the identical
-// canonical form (the golden round-trip tests pin that lang.Canon is a
-// fixed point on it). Either way the job leaves here carrying canonical
-// text in req.Model.
-func normalizeModel(req *SubmitRequest) (string, error) {
+// normalizeModel validates the request's model selection and returns a
+// normalized copy with the canonical model identity string the result
+// cache hashes. Both frontends converge on the same identity: textual
+// source is canonicalized with lang.Canon; a builtin is built from the
+// zoo registry and serialized to the identical canonical form (the
+// golden round-trip tests pin that lang.Canon is a fixed point on it).
+// Either way the copy carries canonical text in Model, a default Name,
+// and no builtin selection, so normalizing it again returns it
+// unchanged.
+func normalizeModel(req SubmitRequest) (SubmitRequest, string, error) {
 	hasModel := strings.TrimSpace(req.Model) != ""
 	if hasModel == (req.Builtin != "") {
-		return "", fmt.Errorf("exactly one of \"model\" or \"builtin\" must be set (builtins: %s)",
+		return SubmitRequest{}, "", fmt.Errorf("exactly one of \"model\" or \"builtin\" must be set (builtins: %s)",
 			strings.Join(Builtins(), ", "))
 	}
 	if hasModel {
 		canon, err := lang.Canon(req.Model)
 		if err != nil {
-			return "", err
+			return SubmitRequest{}, "", err
 		}
 		req.Model = canon
 		if req.Name == "" {
 			req.Name = "model"
 		}
-		return "ir:" + canon, nil
+		return req, "ir:" + canon, nil
 	}
 	e, ok := zoo.Get(req.Builtin)
 	if !ok {
-		return "", fmt.Errorf("unknown builtin %q (builtins: %s)", req.Builtin, strings.Join(Builtins(), ", "))
+		return SubmitRequest{}, "", fmt.Errorf("unknown builtin %q (builtins: %s)", req.Builtin, strings.Join(Builtins(), ", "))
 	}
-	size, err := builtinSize(req)
+	size, err := builtinSize(&req)
 	if err != nil {
-		return "", err
+		return SubmitRequest{}, "", err
 	}
 	mo, err := e.Model(size)
 	if err != nil {
-		return "", err
+		return SubmitRequest{}, "", err
 	}
 	req.Model = mo.Format()
 	if req.Name == "" {
 		req.Name = req.Builtin
 	}
-	return "ir:" + req.Model, nil
+	req.Builtin, req.Params, req.Size, req.Regs, req.Bits, req.Assist, req.Bug = "", nil, 0, 0, 0, false, false
+	return req, "ir:" + req.Model, nil
 }
 
 // buildProblem constructs the job's problem on the worker's manager.

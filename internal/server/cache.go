@@ -54,9 +54,9 @@ func newResultCache(capacity int) *resultCache {
 // clamp maximum.
 func cacheKey(modelIdentity, engine string, opt verify.Options, budget resource.Budget) string {
 	h := sha256.New()
-	fmt.Fprintf(h, "%s\x00%s\x00term=%d workers=%d grow=%g trace=%t gc=%d\x00nodes=%d timeout=%d iter=%d",
+	fmt.Fprintf(h, "%s\x00%s\x00term=%d grow=%g trace=%t gc=%d\x00nodes=%d timeout=%d iter=%d",
 		modelIdentity, engine,
-		opt.Termination, opt.Workers, opt.Core.GrowThreshold, opt.WantTrace, opt.GCEvery,
+		opt.Termination, opt.Core.GrowThreshold, opt.WantTrace, opt.GCEvery,
 		budget.NodeLimit, int64(budget.Timeout), budget.MaxIterations)
 	return hex.EncodeToString(h.Sum(nil))
 }
@@ -85,14 +85,14 @@ func (c *resultCache) get(key string) (*cacheEntry, bool) {
 
 // put stores an entry, evicting the least recently used past capacity;
 // it returns the number of entries evicted. Callers hold the server
-// mutex.
+// mutex. A stored entry is never modified: a caller of get reads it
+// after the mutex is released, so a replacement is a new entry.
 func (c *resultCache) put(key string, result *ResultWire, events []json.RawMessage) int {
 	if c.cap <= 0 {
 		return 0
 	}
 	if el, ok := c.entries[key]; ok {
-		el.Value.(*cacheEntry).result = result
-		el.Value.(*cacheEntry).events = events
+		el.Value = &cacheEntry{key: key, result: result, events: events}
 		c.order.MoveToFront(el)
 		return 0
 	}

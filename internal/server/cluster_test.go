@@ -120,7 +120,7 @@ func TestClusterForwardingNoRecompute(t *testing.T) {
 	// Work out who owns this model's canonical identity, and pick the
 	// other node as the entry point so the submission must forward.
 	cp := SubmitRequest{Model: model}
-	identity, err := normalizeModel(&cp)
+	_, identity, err := normalizeModel(cp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +232,7 @@ func TestClusterOwnerDownFallsBackLocally(t *testing.T) {
 	var model string
 	for bits := 2; bits < 64; bits++ {
 		cp := SubmitRequest{Model: counterModel(bits%3 + 2), Name: fmt.Sprintf("m%d", bits)}
-		id, err := normalizeModel(&cp)
+		_, id, err := normalizeModel(cp)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -515,7 +515,7 @@ func TestClusterBatchRoutesAsUnit(t *testing.T) {
 	identities := make([]string, len(breq.Jobs))
 	for i := range breq.Jobs {
 		cp := breq.Jobs[i].SubmitRequest
-		id, err := normalizeModel(&cp)
+		_, id, err := normalizeModel(cp)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -256,7 +256,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	identity, err := normalizeModel(&req)
+	req, identity, err := normalizeModel(req)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return

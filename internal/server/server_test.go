@@ -9,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -584,6 +585,62 @@ func TestCacheSharedBetweenTextAndBuiltin(t *testing.T) {
 	}
 }
 
+// TestNormalizeModelIdempotent: normalizing an already-normalized
+// request returns the same request and the same identity, for a textual
+// model and for builtins (legacy size knob and named params).
+func TestNormalizeModelIdempotent(t *testing.T) {
+	for _, req := range []SubmitRequest{
+		{Model: counterModel(3), Engine: "Fwd"},
+		{Builtin: "fifo", Size: 3, Bug: true},
+		{Builtin: "elevator", Params: map[string]int{"floors": 3}, Name: "lift"},
+	} {
+		once, id1, err := normalizeModel(req)
+		if err != nil {
+			t.Fatalf("%+v: %v", req, err)
+		}
+		twice, id2, err := normalizeModel(once)
+		if err != nil {
+			t.Fatalf("%+v: normalizing the normalized request: %v", req, err)
+		}
+		if id2 != id1 {
+			t.Errorf("%+v: identity changed on renormalization", req)
+		}
+		if !reflect.DeepEqual(twice, once) {
+			t.Errorf("%+v: request changed on renormalization:\n%+v\n%+v", req, once, twice)
+		}
+	}
+}
+
+// TestWorkersOptionRejected: "workers" is no longer an engine option,
+// so a client still sending it gets a 400 naming the unknown field, on
+// POST /jobs and in a batch's defaults or members alike.
+func TestWorkersOptionRejected(t *testing.T) {
+	e := newTestServer(t, Config{Workers: 1})
+	cases := []struct{ path, body string }{
+		{"/jobs", `{"builtin":"fifo","options":{"workers":2}}`},
+		{"/batches", `{"options":{"workers":2},"jobs":[{"builtin":"fifo"}]}`},
+		{"/batches", `{"jobs":[{"builtin":"fifo"},{"builtin":"fifo","options":{"workers":2}}]}`},
+	}
+	for _, c := range cases {
+		resp, err := http.Post(e.ts.URL+c.path, "application/json", strings.NewReader(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		var er ErrorResponse
+		if err := json.Unmarshal(data, &er); err != nil {
+			t.Fatalf("%s %s: error body %q", c.path, c.body, data)
+		}
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(er.Error, `unknown field "workers"`) {
+			t.Errorf("%s %s: status %d (%s), want 400 for the unknown field", c.path, c.body, resp.StatusCode, er.Error)
+		}
+	}
+	if got := metricInt(t, e.metricsDoc(t), "submitted"); got != 0 {
+		t.Errorf("rejected submissions counted: submitted = %d", got)
+	}
+}
+
 // The zoo additions are servable builtins: a parameterized family via
 // "params" and an imported .fsm machine, with the resubmission answered
 // from the cache.
@@ -713,7 +770,6 @@ func TestSubmitValidation(t *testing.T) {
 		{"bad-termination", `{"builtin":"fifo","options":{"termination":"psychic"}}`, http.StatusBadRequest},
 		{"unknown-field", `{"builtin":"fifo","frobnicate":1}`, http.StatusBadRequest},
 		{"bad-budget", `{"builtin":"fifo","budget":{"node_limit":-7}}`, http.StatusBadRequest},
-		{"bad-workers", `{"builtin":"fifo","options":{"workers":-2}}`, http.StatusBadRequest},
 		{"bad-gc-every", `{"builtin":"fifo","options":{"gc_every":-1}}`, http.StatusBadRequest},
 		{"bad-grow-threshold", `{"builtin":"fifo","options":{"grow_threshold":-0.5}}`, http.StatusBadRequest},
 	}

@@ -84,10 +84,6 @@ type OptionsSpec struct {
 	// "exact" (default), "implication", or "fast".
 	Termination string `json:"termination,omitempty"`
 
-	// Workers enables parallel pair scoring inside the run
-	// (verify.Options.Workers).
-	Workers int `json:"workers,omitempty"`
-
 	// GrowThreshold overrides the XICI policy threshold (0 = default).
 	GrowThreshold float64 `json:"grow_threshold,omitempty"`
 
@@ -355,18 +351,14 @@ func (bs BudgetSpec) budget(cfg Config) (resource.Budget, error) {
 
 // options builds the engine options (observer excluded — the worker
 // attaches its own sink). Numeric fields are validated here, not left
-// to the engines: a negative worker count, a negative GC period, or a
-// negative/non-finite grow threshold would otherwise flow straight
-// into the run, so they are 400s exactly like malformed budget fields.
+// to the engines: a negative GC period or a negative/non-finite grow
+// threshold would otherwise flow straight into the run, so they are
+// 400s exactly like malformed budget fields.
 func (os OptionsSpec) options() (verify.Options, error) {
 	opt := verify.Options{
-		Workers:   os.Workers,
 		WantTrace: os.WantTrace,
 		GCEvery:   os.GCEvery,
 		Core:      core.Options{GrowThreshold: os.GrowThreshold},
-	}
-	if os.Workers < 0 {
-		return opt, fmt.Errorf("options.workers %d is invalid (0 = sequential)", os.Workers)
 	}
 	if os.GCEvery < 0 {
 		return opt, fmt.Errorf("options.gc_every %d is invalid (0 = never)", os.GCEvery)

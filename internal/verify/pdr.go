@@ -141,7 +141,7 @@ func (e *pdrRun) frameBad(k int, goods []bdd.Ref) []bool {
 	for _, g := range goods {
 		acc := g.Not()
 		for _, cj := range e.frames[k].Conjuncts {
-			acc = e.m.ParAnd(acc, cj)
+			acc = e.m.And(acc, cj)
 			if acc == bdd.Zero {
 				break
 			}
