@@ -13,9 +13,12 @@ import (
 // the same order, and Ref-identical initial set, input constraint,
 // next-state functions, monolithic property, good list, and functional
 // dependencies when both are elaborated against the same variable
-// order. The IR build runs on its own manager;
-// each component is transferred into the legacy manager, where BDD
-// canonicity makes Ref equality equivalent to function equality.
+// order. TestIRMatchesLegacy runs the IR build on its own manager and
+// transfers each component into the legacy manager; TestIRMatchesLegacyShared
+// runs both builds on one shared manager and renames the IR variables
+// onto the legacy ones, so the contract is also checked without
+// bdd.Transfer. Either way BDD canonicity makes Ref equality equivalent
+// to function equality.
 
 type crosscheckCase struct {
 	name   string
@@ -97,7 +100,16 @@ func assertProblemIdentical(t *testing.T, mWant *bdd.Manager, want verify.Proble
 		}
 	}
 	xfer := func(f bdd.Ref) bdd.Ref { return bdd.Transfer(mWant, mGot, f, nil) }
+	assertComponentsMatch(t, mWant, want, got, func(v bdd.Var) bdd.Var { return v }, xfer)
+}
 
+// assertComponentsMatch requires every BDD component of got, carried
+// into want's manager mWant by mapRef (its variables by mapVar), to be
+// Ref-equal to the corresponding component of want.
+func assertComponentsMatch(t *testing.T, mWant *bdd.Manager, want, got verify.Problem,
+	mapVar func(bdd.Var) bdd.Var, mapRef func(bdd.Ref) bdd.Ref) {
+	t.Helper()
+	xfer := mapRef
 	wm, gm := want.Machine, got.Machine
 	if wm.StateBits() != gm.StateBits() || wm.InputBits() != gm.InputBits() {
 		t.Fatalf("shape: legacy %d/%d state/input bits, IR %d/%d",
@@ -111,7 +123,7 @@ func assertProblemIdentical(t *testing.T, mWant *bdd.Manager, want verify.Proble
 	}
 	wCur, gCur := wm.CurVars(), gm.CurVars()
 	for i := range wCur {
-		if wCur[i] != gCur[i] {
+		if wCur[i] != mapVar(gCur[i]) {
 			t.Fatalf("state var %d: legacy %v, IR %v", i, wCur[i], gCur[i])
 		}
 		if xfer(gm.NextFn(gCur[i])) != wm.NextFn(wCur[i]) {
@@ -133,7 +145,7 @@ func assertProblemIdentical(t *testing.T, mWant *bdd.Manager, want verify.Proble
 		t.Fatalf("Deps length: legacy %d, IR %d", len(want.Deps), len(got.Deps))
 	}
 	for i := range want.Deps {
-		if want.Deps[i].Var != got.Deps[i].Var {
+		if want.Deps[i].Var != mapVar(got.Deps[i].Var) {
 			t.Fatalf("Deps[%d].Var: legacy %v, IR %v", i, want.Deps[i].Var, got.Deps[i].Var)
 		}
 		if xfer(got.Deps[i].Def) != want.Deps[i].Def {
@@ -152,6 +164,47 @@ func TestIRMatchesLegacy(t *testing.T) {
 			mI := bdd.New()
 			got := tc.ir(mI)
 			assertProblemIdentical(t, mL, want, mI, got)
+		})
+	}
+}
+
+// TestIRMatchesLegacyShared builds the legacy model and then the IR
+// model on one shared manager. The IR build declares its own copy of
+// every variable after the legacy ones, in the same order and with the
+// same names; renaming each IR variable onto its legacy counterpart
+// must give Ref-identical components in the one unique table. This
+// checks the contract without bdd.Transfer, and with the IR build
+// running on a manager that already holds another model's nodes.
+func TestIRMatchesLegacyShared(t *testing.T) {
+	for _, tc := range crosscheckCases() {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			m := bdd.New()
+			want := tc.legacy(m)
+			n := m.NumVars()
+			got := tc.ir(m)
+			if want.Name != got.Name {
+				t.Fatalf("Name: legacy %q, IR %q", want.Name, got.Name)
+			}
+			if m.NumVars() != 2*n {
+				t.Fatalf("variable count: legacy %d, IR %d", n, m.NumVars()-n)
+			}
+			rename := m.NewSubstitution()
+			for v := 0; v < n; v++ {
+				lv, iv := bdd.Var(v), bdd.Var(n+v)
+				if ln, in := m.VarName(lv), m.VarName(iv); ln != in {
+					t.Fatalf("variable %d: legacy %q, IR %q", v, ln, in)
+				}
+				rename.Set(iv, m.VarRef(lv))
+			}
+			toLegacy := func(v bdd.Var) bdd.Var {
+				if int(v) < n {
+					t.Fatalf("IR component uses legacy variable %q", m.VarName(v))
+				}
+				return v - bdd.Var(n)
+			}
+			assertComponentsMatch(t, m, want, got, toLegacy, rename.Compose)
 		})
 	}
 }

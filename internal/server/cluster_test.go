@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net"
 	"net/http"
@@ -226,18 +225,19 @@ func TestClusterOwnerDownFallsBackLocally(t *testing.T) {
 	})
 	base := "http://" + live.Addr().String()
 
-	// Find a model the dead peer owns (vary a parameter until routing
-	// picks it; peers start optimistically alive so the first such
-	// submission attempts the forward and falls back).
+	// Find a model the dead peer owns (vary the counter width until
+	// routing picks it; peers start optimistically alive so the first
+	// such submission attempts the forward and falls back). The name is
+	// not part of the identity, so only distinct model texts are distinct
+	// probes; 47 of them make a miss vanishingly unlikely for any ports.
 	var model string
-	for bits := 2; bits < 64; bits++ {
-		cp := SubmitRequest{Model: counterModel(bits%3 + 2), Name: fmt.Sprintf("m%d", bits)}
-		_, id, err := normalizeModel(cp)
+	for bits := 2; bits < 49; bits++ {
+		_, id, err := normalizeModel(SubmitRequest{Model: counterModel(bits)})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if owner, self := cl.OwnerOf(id); owner == deadAddr && !self {
-			model = counterModel(bits%3 + 2)
+			model = counterModel(bits)
 			break
 		}
 	}
